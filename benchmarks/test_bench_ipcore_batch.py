@@ -16,6 +16,11 @@ while the engine amortises them over the whole stack, so a CI-class
 single-core container typically measures 15-40x.  The measured ratio is
 stored in ``extra_info`` (and the benchmark JSON artifact in CI, where
 ``benchmarks/compare.py`` tracks regressions against the previous run).
+
+A second, end-to-end case times ``run_sweep`` of the ``ipcore-parallelism``
+scenario — whose ``run_batch`` hook stacks each design point's trials into
+one engine call — against a plain loop of ``scenario.run_trial`` over the
+same points, asserts the records ``==``, and gates the speed-up at >= 3x.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import numpy as np
 from repro.channel.multipath import random_sparse_channel
 from repro.channel.simulator import add_noise_for_snr
 from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig
+from repro.experiments import get_scenario, run_sweep
+from repro.experiments.runner import trial_record
 from repro.utils.tables import format_table
 
 NUM_FC_BLOCKS = 14
@@ -34,6 +41,8 @@ WORD_LENGTH = 12
 TRIALS = 96
 ROUNDS = 3
 MIN_SPEEDUP = 5.0
+SWEEP_REPLICATES = 8
+MIN_SWEEP_SPEEDUP = 3.0
 
 
 def _problem_stack(matrices) -> np.ndarray:
@@ -104,4 +113,55 @@ def test_bench_ipcore_batch(benchmark, aquamodem_matrices):
 
     assert speedup >= MIN_SPEEDUP, (
         f"batched IP-core engine only {speedup:.2f}x faster (gate: {MIN_SPEEDUP}x)"
+    )
+
+
+def test_bench_ipcore_sweep_hook(benchmark):
+    scenario = get_scenario("ipcore-parallelism")
+    spec = scenario.spec.with_seed(base_seed=0, replicates=SWEEP_REPLICATES)
+
+    def per_trial_loop():
+        return [
+            trial_record(scenario.name, point, scenario.run_trial(point.params, point.seed))
+            for point in spec.expand()
+        ]
+
+    # interleaved minima, as above; round 1 also warms the memoised channel
+    # problems and engines both paths share
+    times = {"loop": float("inf"), "sweep": float("inf")}
+    records = {}
+    for _ in range(ROUNDS):
+        for path, run in (("loop", per_trial_loop), ("sweep", lambda: run_sweep(spec).records)):
+            start = time.perf_counter()
+            records[path] = run()
+            times[path] = min(times[path], time.perf_counter() - start)
+
+    assert records["sweep"] == records["loop"], "batched sweep diverged from the trial loop"
+
+    benchmark.pedantic(lambda: run_sweep(spec), iterations=1, rounds=1)
+
+    speedup = times["loop"] / times["sweep"]
+    benchmark.extra_info["trials"] = spec.num_trials
+    benchmark.extra_info["trial_loop_s"] = round(times["loop"], 4)
+    benchmark.extra_info["sweep_s"] = round(times["sweep"], 4)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+
+    print()
+    print(
+        format_table(
+            ["Path", "Time (s)", "Speed-up"],
+            [
+                ("run_trial loop (reference)", round(times["loop"], 3), "1.0x"),
+                ("run_sweep (run_batch hook)", round(times["sweep"], 3), f"{speedup:.1f}x"),
+            ],
+            title=(
+                f"ipcore-parallelism sweep — batch hook vs per-trial loop "
+                f"({spec.num_trials} trials)"
+            ),
+        )
+    )
+
+    assert speedup >= MIN_SWEEP_SPEEDUP, (
+        f"batched ipcore-parallelism sweep only {speedup:.2f}x faster "
+        f"(gate: {MIN_SWEEP_SPEEDUP}x)"
     )

@@ -1,32 +1,18 @@
 """Batched fixed-point Matching Pursuits engine (experiment E6 at scale).
 
 The bitwidth ablation estimates the same Monte-Carlo channels at every word
-length.  Run through the sweep engine one trial at a time, each estimate
-pays the full scalar :class:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit`
-loop — dozens of small NumPy calls per trial — which leaves the E6 sweep and
-the E8 design-space exploration interpreter-bound.
-
-:class:`BatchFixedPointMPEngine` runs a whole
-:class:`~repro.experiments.spec.SweepSpec` of the ``fixedpoint-bitwidth``
-scenario in one pass: the trial points are grouped by word length (and
-waveform configuration), each group's receive vectors are stacked into one
-batch, and a single :meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate_batch`
-call carries the entire group through the fixed-point datapath.
-
-Three properties make the engine a drop-in replacement for the sweep:
-
-* **identical RNG streams** — problems come from the same memoised builders
-  the scalar trial function uses (`repro.experiments.registry`), keyed by
-  the same per-trial seeds from the spec's
-  :class:`~repro.experiments.spec.SeedPolicy`, so every word length sees the
-  very channels and noise the scalar sweep would draw;
-* **bit-identical estimates** — ``estimate_batch`` is pinned against the
-  scalar ``estimate`` with ``==`` on raw integer codes
-  (``tests/core/test_fixedpoint_batch_equivalence.py``);
-* **identical records** — metrics are evaluated by the same shared helper on
-  those bit-identical coefficients and assembled in canonical trial order,
-  so :meth:`run_spec` output compares equal, record for record, to
-  :func:`~repro.experiments.runner.run_sweep` on the same spec.
+length.  Run one trial at a time, each estimate pays the full scalar
+:class:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit` loop — dozens of
+small NumPy calls per trial.  :class:`BatchFixedPointMPEngine` runs a whole
+``fixedpoint-bitwidth`` :class:`~repro.experiments.spec.SweepSpec`
+in-process and without a cache, as a thin wrapper over the scenario's
+``run_batch`` hook (:func:`repro.experiments.registry.fixedpoint_bitwidth_batch`,
+the hook ``run_sweep`` drives too): each word length's receive vectors go
+through one ``estimate_batch`` call.  Its records compare ``==`` to
+:func:`~repro.experiments.runner.run_sweep` on the same spec — same memoised
+problems and seeds, a datapath pinned bit-identical on raw integer codes
+(``tests/core/test_fixedpoint_batch_equivalence.py``) and the runner's own
+record builder.
 
 The engine is deliberately mode-free (round-to-nearest, saturation — the
 System Generator defaults the scenario uses); explicit rounding/overflow
@@ -37,18 +23,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any
 
-import numpy as np
-
-from repro.telemetry.metrics import counter, histogram
 from repro.telemetry.tracing import span
 
 __all__ = ["BatchFixedPointMPEngine"]
-
-# per-group telemetry (one update per word-length group, never per trial)
-_TRIALS = counter("engine.fixedpoint.trials")
-_GROUP_SIZE = histogram("engine.fixedpoint.batch_size")
 
 
 @dataclass
@@ -76,7 +54,8 @@ class BatchFixedPointMPEngine:
         through the scalar datapath instead — the executable specification,
         kept for equivalence tests and benchmarks.
         """
-        from repro.experiments.runner import SweepResult, SweepStats
+        from repro.experiments.registry import fixedpoint_bitwidth_batch
+        from repro.experiments.runner import SweepResult, SweepStats, trial_record
 
         if spec.scenario != self.scenario:
             raise ValueError(
@@ -85,80 +64,14 @@ class BatchFixedPointMPEngine:
         started = time.perf_counter()
         with span("engine.fixedpoint.run_spec", scenario=spec.scenario, batch=batch):
             trials = spec.expand()
-            records = self._run_groups(spec, trials, batch)
-        _TRIALS.inc(len(trials))
-
-        elapsed = time.perf_counter() - started
+            records = {
+                point.index: trial_record(spec.scenario, point, metrics)
+                for point, metrics in fixedpoint_bitwidth_batch(trials, batch=batch)
+            }
         stats = SweepStats(
             num_trials=len(trials), executed=len(trials), cache_hits=0,
-            jobs=1, elapsed_s=elapsed,
+            jobs=1, elapsed_s=time.perf_counter() - started,
         )
-        ordered = [records[point.index] for point in trials]
-        return SweepResult(spec=spec, records=ordered, stats=stats)
-
-    def _run_groups(self, spec, trials, batch: bool) -> dict[int, dict[str, Any]]:
-        """Group trial points, estimate each group in one pass, build records."""
-        from repro.experiments.registry import (
-            fixedpoint_trial_metrics,
-            trial_channel_problem,
-            trial_config_key,
-            trial_estimator,
-            trial_float_reference,
+        return SweepResult(
+            spec=spec, records=[records[point.index] for point in trials], stats=stats
         )
-        from repro.experiments.runner import plain_value
-
-        # group trial points by everything the estimator depends on: the
-        # waveform configuration travels in the params, the word length is
-        # the swept axis.  Problems and float references are built once per
-        # unique (configuration, channel, SNR, seed) and held here, so the
-        # sharing across word lengths that paired seeds promise survives
-        # sweeps larger than the registry's memoisation windows.
-        groups: dict[tuple, list] = {}
-        problem_keys: dict[int, tuple] = {}
-        problems: dict[tuple, tuple] = {}
-        references: dict[tuple, Any] = {}
-        for point in trials:
-            signature = trial_config_key(point.params)
-            groups.setdefault(
-                (int(point.params["word_length"]), signature), []
-            ).append(point)
-            key = (
-                signature,
-                int(point.params["num_channel_paths"]),
-                float(point.params["snr_db"]),
-                point.seed,
-            )
-            problem_keys[point.index] = key
-            if key not in problems:
-                problems[key] = trial_channel_problem(point.params, point.seed)
-                references[key] = trial_float_reference(point.params, point.seed)
-
-        records: dict[int, dict[str, Any]] = {}
-        for (word_length, _), points in groups.items():
-            with span("engine.fixedpoint.group", word_length=word_length,
-                      batch_size=len(points)):
-                _GROUP_SIZE.observe(len(points))
-                estimator = trial_estimator(points[0].params, word_length)
-                group_problems = [problems[problem_keys[p.index]] for p in points]
-                received = np.stack([problem[2] for problem in group_problems])
-                if batch:
-                    estimates = estimator.estimate_batch(received)
-                else:
-                    estimates = [estimator.estimate(row) for row in received]
-                for row, point in enumerate(points):
-                    channel, true_f, _ = group_problems[row]
-                    reference = references[problem_keys[point.index]]
-                    metrics = fixedpoint_trial_metrics(
-                        channel, true_f, reference, estimates[row]
-                    )
-                    record: dict[str, Any] = {
-                        "scenario": spec.scenario,
-                        "trial_index": point.index,
-                        "replicate": point.replicate,
-                        "seed": point.seed,
-                    }
-                    for source in (point.params, metrics):
-                        for name, value in source.items():
-                            record[name] = plain_value(value)
-                    records[point.index] = record
-        return records

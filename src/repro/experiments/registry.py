@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.matching_pursuit import matching_pursuit
 from repro.core.metrics import normalized_channel_error, support_recovery_rate
 from repro.core.refinement import refine_least_squares
 from repro.dsp.signal_matrix import SignalMatrices, composite_signal_matrices
-from repro.experiments.spec import SeedPolicy, SweepSpec
+from repro.experiments.spec import SeedPolicy, SweepSpec, TrialPoint
 from repro.hardware.comparison import PlatformComparison, compare_platforms
 from repro.modem.config import AquaModemConfig
 from repro.modem.energy_budget import ModemEnergyBudget
@@ -56,6 +56,8 @@ from repro.network.topology import (
     random_deployment,
 )
 from repro.network.traffic import PeriodicTraffic
+from repro.telemetry.metrics import counter, histogram
+from repro.telemetry.tracing import span
 
 __all__ = [
     "Scenario",
@@ -63,9 +65,9 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "scenario_names",
+    "fixedpoint_bitwidth_batch",
     "fixedpoint_trial_metrics",
     "trial_channel_problem",
-    "trial_config_key",
     "trial_estimator",
     "trial_float_reference",
     "trial_ipcore_engine",
@@ -83,9 +85,21 @@ TABLE3_PLATFORM_ENERGIES_UJ: dict[str, float] = {
 }
 
 
+#: Per-group telemetry of the fixed-point batch hook (never per trial).
+_FIXEDPOINT_TRIALS = counter("engine.fixedpoint.trials")
+_FIXEDPOINT_GROUP_SIZE = histogram("engine.fixedpoint.batch_size")
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One named, sweepable experiment."""
+    """One named, sweepable experiment.
+
+    The optional ``run_batch(points)`` hook groups trial points by everything
+    the estimator depends on, runs each group in one engine call and yields
+    one ``(point, metrics)`` pair per point, group by group.  The runner then
+    hands it the pending trials instead of calling ``run_trial`` per point;
+    its metrics must equal ``run_trial``'s exactly.
+    """
 
     name: str
     description: str
@@ -93,6 +107,9 @@ class Scenario:
     version: str
     run_trial: Callable[[Mapping[str, Any], int], Mapping[str, Any]]
     default_spec: SweepSpec
+    run_batch: Callable[
+        [Sequence[TrialPoint]], Iterable[tuple[TrialPoint, Mapping[str, Any]]]
+    ] | None = None
 
     @property
     def spec(self) -> SweepSpec:
@@ -237,23 +254,14 @@ def _platform_comparison(num_paths: int) -> PlatformComparison:
 
 
 # --------------------------------------------------------------------------- #
-# public problem builders (shared with the batched fixed-point engine)
+# public problem builders (shared by the trials, the batch hooks and studies)
 #
-# `repro.core.batch.BatchFixedPointMPEngine` runs whole bitwidth sweeps
-# without going through `run_sweep`, but must see the *identical* problems
-# the scalar trials see.  These helpers expose the memoised problem/estimator
-# builders above, so both paths draw the same RNG streams and literally share
-# the cached channel draws and float references within a process.
+# The scalar trial functions, the `run_batch` hooks below and the analysis
+# studies must all see the *identical* problems.  These helpers expose the
+# memoised problem/estimator builders above, so every path draws the same
+# RNG streams and literally shares the cached channel draws and float
+# references within a process.
 # --------------------------------------------------------------------------- #
-def trial_config_key(params: Mapping[str, Any]) -> tuple:
-    """A hashable signature of the waveform-configuration fields of a trial.
-
-    Two parameter mappings with the same signature build the same matrices,
-    estimators and problems; the batched engine groups trial points by it.
-    """
-    return _config_key(params)
-
-
 def trial_channel_problem(params: Mapping[str, Any], seed: int):
     """The (channel, true coefficients, received) problem of one trial point."""
     return _channel_problem(
@@ -296,7 +304,7 @@ def trial_ipcore_engine(
 def fixedpoint_trial_metrics(channel, true_f, reference, estimate) -> dict[str, Any]:
     """The E6 accuracy metrics of one fixed-point estimate.
 
-    Shared by the scalar trial function and the batched engine so both
+    Shared by the trial functions, the batch hooks and the studies so all
     evaluate the identical float expressions on identical coefficient arrays
     — which is what lets the engine's records be compared to the sweep's
     with ``==``.
@@ -370,25 +378,106 @@ def _modem_ser_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     }
 
 
+def _estimation_groups(
+    points: Sequence[TrialPoint], batch_default: bool, *axes: str,
+) -> Iterator[tuple[list[TrialPoint], bool, list[tuple], np.ndarray]]:
+    """Group estimation trials by configuration, ``batch`` flag and ``axes``.
+
+    Yields, in first-seen group order, each group's points, its ``batch``
+    flag, the points' (channel, true coefficients, received) problems and
+    their stacked receive vectors.
+    """
+    groups: dict[tuple, list[TrialPoint]] = {}
+    for point in points:
+        params = point.params
+        key = (
+            _config_key(params),
+            bool(params.get("batch", batch_default)),
+            *(int(params[axis]) for axis in axes),
+        )
+        groups.setdefault(key, []).append(point)
+    for (_, batch, *_), group in groups.items():
+        problems = [trial_channel_problem(point.params, point.seed) for point in group]
+        yield group, batch, problems, np.stack([problem[2] for problem in problems])
+
+
+def _estimate_metrics(point: TrialPoint, problem: tuple, estimate) -> dict[str, Any]:
+    reference = trial_float_reference(point.params, point.seed)
+    return fixedpoint_trial_metrics(problem[0], problem[1], reference, estimate)
+
+
+def _single_trial(run_batch: Callable, params: Mapping[str, Any], seed: int) -> dict[str, Any]:
+    """One trial's metrics through a batch hook (a group of one)."""
+    ((_, metrics),) = run_batch([TrialPoint(index=0, replicate=0, seed=seed, params=params)])
+    return metrics
+
+
+def fixedpoint_bitwidth_batch(
+    points: Sequence[TrialPoint], batch: bool | None = None,
+) -> Iterator[tuple[TrialPoint, dict[str, Any]]]:
+    """The ``fixedpoint-bitwidth`` batch hook: one estimator call per group.
+
+    Groups are keyed by configuration, ``word_length`` and ``batch``; a
+    ``batch`` group goes through one ``estimate_batch`` call, any other
+    through the scalar executable spec trial by trial.  ``batch``, if given,
+    overrides each point's flag (``BatchFixedPointMPEngine.run_spec``'s switch).
+    """
+    for group, group_batch, problems, received in _estimation_groups(
+        points, False, "word_length"
+    ):
+        word_length = int(group[0].params["word_length"])
+        estimator = trial_estimator(group[0].params, word_length)
+        with span("engine.fixedpoint.group", word_length=word_length,
+                  batch_size=len(group)):
+            _FIXEDPOINT_GROUP_SIZE.observe(len(group))
+            if group_batch if batch is None else batch:
+                stacked = estimator.estimate_batch(received)
+                estimates = [stacked[row] for row in range(len(group))]
+            else:
+                estimates = [estimator.estimate(row) for row in received]
+        _FIXEDPOINT_TRIALS.inc(len(group))
+        for point, problem, estimate in zip(group, problems, estimates):
+            yield point, _estimate_metrics(point, problem, estimate)
+
+
 def _fixedpoint_bitwidth_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Fixed-point vs floating-point MP accuracy on one random channel.
 
-    ``batch`` routes this trial's estimate through the batched datapath as a
-    one-row batch (``estimate_batch``) instead of the scalar executable
-    specification; the two are bit-identical on raw integer codes, so the
-    axis exists for cross-validation sweeps.  Whole-sweep batching — all
-    trials of all word lengths at once — lives in
-    :class:`repro.core.batch.BatchFixedPointMPEngine`, which shares this
-    trial's memoised problems and metrics.
+    ``batch`` selects the batched datapath or the scalar executable spec; the
+    two are bit-identical on raw integer codes, so the axis exists for
+    cross-validation sweeps.  This is :func:`fixedpoint_bitwidth_batch` on a
+    group of one; sweeps call the hook with all their trials.
     """
-    channel, true_f, received = trial_channel_problem(params, seed)
-    reference = trial_float_reference(params, seed)
-    estimator = trial_estimator(params, int(params["word_length"]))
-    if bool(params.get("batch", False)):
-        estimate = estimator.estimate_batch(received[np.newaxis, :])[0]
-    else:
-        estimate = estimator.estimate(received)
-    return fixedpoint_trial_metrics(channel, true_f, reference, estimate)
+    return _single_trial(fixedpoint_bitwidth_batch, params, seed)
+
+
+def _ipcore_parallelism_batch(
+    points: Sequence[TrialPoint],
+) -> Iterator[tuple[TrialPoint, dict[str, Any]]]:
+    """The ``ipcore-parallelism`` batch hook: one engine call per design point.
+
+    Groups are keyed by configuration, ``num_fc_blocks``, ``word_length`` and
+    ``batch``; a ``batch`` group runs through one ``estimate_batch`` call, any
+    other through the scalar FC-block walk trial by trial.
+    """
+    for group, batch, problems, received in _estimation_groups(
+        points, True, "num_fc_blocks", "word_length"
+    ):
+        params = group[0].params
+        engine = trial_ipcore_engine(
+            params, int(params["num_fc_blocks"]), int(params["word_length"])
+        )
+        if batch:
+            stacked = engine.estimate_batch(received)
+            runs = [stacked[row] for row in range(len(group))]
+        else:
+            runs = [engine.core.estimate(row) for row in received]
+        for point, problem, run in zip(group, problems, runs):
+            metrics = _estimate_metrics(point, problem, run.result)
+            metrics["total_cycles"] = run.schedule.total_cycles
+            metrics["matched_filter_cycles"] = run.schedule.matched_filter_cycles
+            metrics["iteration_cycles"] = run.schedule.iteration_cycles
+            yield point, metrics
 
 
 def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
@@ -398,28 +487,11 @@ def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str,
     a scheduling choice — the conformance contract of
     :mod:`repro.core.ipcore.conformance`), so across the ``num_fc_blocks``
     axis the accuracy columns are constant while the cycle columns fall as
-    Ns/P.  ``batch`` routes the trial through the batched engine as a
-    one-row batch instead of the scalar FC-block walk; the two produce
-    identical records, so the axis exists for cross-validation sweeps.
+    Ns/P.  ``batch`` selects the batched engine or the scalar FC-block walk
+    (identical records).  This is :func:`_ipcore_parallelism_batch` on a
+    group of one; sweeps call the hook with all their trials.
     """
-    channel, true_f, received = trial_channel_problem(params, seed)
-    reference = trial_float_reference(params, seed)
-    engine = trial_ipcore_engine(
-        params, int(params["num_fc_blocks"]), int(params["word_length"])
-    )
-    if bool(params.get("batch", True)):
-        run = engine.estimate_batch(received[np.newaxis, :])
-        estimate = run.result[0]
-        schedule = run.schedule
-    else:
-        scalar_run = engine.core.estimate(received)
-        estimate = scalar_run.result
-        schedule = scalar_run.schedule
-    metrics = fixedpoint_trial_metrics(channel, true_f, reference, estimate)
-    metrics["total_cycles"] = schedule.total_cycles
-    metrics["matched_filter_cycles"] = schedule.matched_filter_cycles
-    metrics["iteration_cycles"] = schedule.iteration_cycles
-    return metrics
+    return _single_trial(_ipcore_parallelism_batch, params, seed)
 
 
 def _platform_energy_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
@@ -640,6 +712,7 @@ register(Scenario(
     layers=("fixedpoint", "core"),
     version="2",
     run_trial=_fixedpoint_bitwidth_trial,
+    run_batch=fixedpoint_bitwidth_batch,
     default_spec=SweepSpec(
         scenario="fixedpoint-bitwidth",
         grid={"word_length": (4, 6, 8, 10, 12, 16)},
@@ -647,9 +720,9 @@ register(Scenario(
             "snr_db": 25.0, "num_channel_paths": 4,
             "walsh_symbols": 8, "spreading_chips": 7, "samples_per_chip": 2,
             "num_paths": 6,
-            # scalar executable spec by default; `--set batch=true` runs each
-            # trial through the batched datapath as a one-row batch (raw
-            # integer codes are pinned identical, so metrics match exactly)
+            # scalar executable spec by default; `--set batch=true` stacks
+            # each word length's trials through one batched-datapath call
+            # (raw integer codes are pinned identical, so metrics match exactly)
             "batch": False,
         },
         # paired: every word length estimates the same channels
@@ -663,6 +736,7 @@ register(Scenario(
     layers=("core", "fixedpoint", "hardware"),
     version="1",
     run_trial=_ipcore_parallelism_trial,
+    run_batch=_ipcore_parallelism_batch,
     default_spec=SweepSpec(
         scenario="ipcore-parallelism",
         grid={

@@ -7,14 +7,17 @@
 engine skips trials whose result is already in the
 :class:`~repro.experiments.cache.ResultCache`, and executes the rest —
 serially for small batches, or on a ``multiprocessing`` pool with chunked
-dispatch for large ones.  Three properties the tests pin down:
+dispatch for large ones; a scenario's ``run_batch`` hook, if any, receives
+the pending trials (or one chunk per pool task) in one call.  Three
+properties the tests pin down:
 
 * **determinism** — per-trial seeds come from the seed policy, never from
   execution order, and records are returned in canonical trial order, so a
   serial run and a ``--jobs 8`` run of the same spec produce byte-identical
   records;
 * **resumability** — each trial result is written to the cache the moment it
-  arrives, so an interrupted sweep re-runs only its unfinished trials;
+  arrives (with a batch hook, as its group finishes), so an interrupted sweep
+  loses at most the trial or group in flight;
 * **isolation** — workers resolve the scenario by name from the registry
   (trial functions are module-level), so nothing unpicklable crosses the
   process boundary.
@@ -34,13 +37,14 @@ callback — the hook the sweep service polls.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.experiments.cache import ResultCache, code_version_tag, trial_key
 from repro.experiments.registry import Scenario, get_scenario
@@ -59,6 +63,7 @@ __all__ = [
     "execute_trials",
     "plain_value",
     "run_sweep",
+    "trial_record",
 ]
 
 logger = logging.getLogger(__name__)
@@ -77,9 +82,8 @@ IDENTITY_KEYS = ("scenario", "trial_index", "replicate", "seed")
 def plain_value(value: Any) -> Any:
     """Coerce a metric/param value to a plain JSON-serialisable scalar.
 
-    Applied to every record value by :func:`run_sweep` and by the batched
-    engines that emit run_sweep-compatible records, so numpy scalars never
-    leak into stored results.
+    Applied to every record value by :func:`trial_record`, so numpy scalars
+    never leak into stored results.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -92,26 +96,23 @@ def plain_value(value: Any) -> Any:
     )
 
 
-#: One executed trial: its canonical index, tidy record, the spans it
-#: produced (empty unless it ran in a worker with telemetry on), and the
-#: worker's metric delta (``None`` unless it ran in a worker with telemetry
-#: on — in-process trials record straight into the parent tracer/registry).
+#: One executed trial: canonical index, tidy record, and the spans and metric
+#: delta a traced worker chunk ships home on its last result (empty/``None``
+#: otherwise — in-process trials record straight into the parent tracer).
 _TrialResult = tuple[int, dict[str, Any], tuple[SpanRecord, ...], dict[str, Any] | None]
 
 
-def _run_trial_record(
-    scenario_name: str, index: int, replicate: int, seed: int, params: Mapping[str, Any]
+def trial_record(
+    scenario_name: str, point: TrialPoint, metrics: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Run one trial and build its tidy record."""
-    scenario = get_scenario(scenario_name)
-    metrics = scenario.run_trial(params, seed)
+    """Build one trial's tidy record: identity columns, params, then metrics."""
     record: dict[str, Any] = {
         "scenario": scenario_name,
-        "trial_index": index,
-        "replicate": replicate,
-        "seed": seed,
+        "trial_index": point.index,
+        "replicate": point.replicate,
+        "seed": point.seed,
     }
-    for source in (params, metrics):
+    for source in (point.params, metrics):
         for key, value in source.items():
             if key in IDENTITY_KEYS or (key in record and source is metrics):
                 raise ValueError(
@@ -122,36 +123,45 @@ def _run_trial_record(
     return record
 
 
-def _execute_trial(
-    payload: tuple[str, int, int, int, Mapping[str, Any], bool]
-) -> _TrialResult:
-    """Run one trial (possibly in a worker process), with telemetry capture.
+def _run_trials(scenario_name: str, points: Sequence[TrialPoint]) -> Iterator[_TrialResult]:
+    """Execute ``points``, yielding each trial's result as it completes.
 
-    Three telemetry regimes, decided here so the pool dispatch stays dumb:
-
-    * a tracer owned by *this* process is active → in-process (serial)
-      execution: the trial span records straight into it, nothing ships;
-    * ``telemetry`` flag set but no live local tracer → worker process (the
-      forked parent tracer, if any, is a dead copy): buffer spans and the
-      metric delta locally and ship both back with the record;
-    * telemetry off → run bare (the disabled path adds two tuple fields and
-      one contextvar read over the pre-telemetry engine).
+    A ``run_batch`` hook gets every point in one call and its results arrive
+    group by group, each with a zero-duration ``trial`` span (the engine's
+    spans carry the time); otherwise each trial runs in its own span.
     """
-    scenario_name, index, replicate, seed, params, telemetry = payload
-    tracer = current_tracer()
-    if tracer is not None and tracer.pid == os.getpid():
-        with span("trial", trial_index=index, seed=seed):
-            record = _run_trial_record(scenario_name, index, replicate, seed, params)
-        return index, record, (), None
-    if telemetry:
-        before = registry().snapshot()
-        with worker_trace() as local:
-            with span("trial", trial_index=index, seed=seed):
-                record = _run_trial_record(scenario_name, index, replicate, seed, params)
-        delta = snapshot_delta(before, registry().snapshot())
-        return index, record, tuple(local.records), delta or None
-    record = _run_trial_record(scenario_name, index, replicate, seed, params)
-    return index, record, (), None
+    scenario = get_scenario(scenario_name)
+    if scenario.run_batch is None:
+        for point in points:
+            with span("trial", trial_index=point.index, seed=point.seed):
+                metrics = scenario.run_trial(point.params, point.seed)
+                record = trial_record(scenario_name, point, metrics)
+            yield point.index, record, (), None
+        return
+    for point, metrics in scenario.run_batch(points):
+        record = trial_record(scenario_name, point, metrics)
+        with span("trial", trial_index=point.index, seed=point.seed, batched=True):
+            pass
+        yield point.index, record, (), None
+
+
+def _execute_chunk(payload: tuple[str, Sequence[TrialPoint], bool]) -> list[_TrialResult]:
+    """Run one pool task's chunk of trials in a worker process.
+
+    With ``telemetry`` set, the chunk's spans and metric delta are buffered
+    locally and shipped home on its last result for parent-side merging.
+    """
+    scenario_name, points, telemetry = payload
+    if not telemetry:
+        return list(_run_trials(scenario_name, points))
+    before = registry().snapshot()
+    with worker_trace() as local:
+        results = list(_run_trials(scenario_name, points))
+    delta = snapshot_delta(before, registry().snapshot())
+    if results:
+        index, record, _, _ = results[-1]
+        results[-1] = (index, record, tuple(local.records), delta or None)
+    return results
 
 
 @dataclass(frozen=True)
@@ -324,11 +334,6 @@ def execute_trials(
         scenario.name, cache_hits, len(pending),
     )
 
-    payloads = [
-        (scenario.name, trial.index, trial.replicate, trial.seed, trial.params,
-         telemetry_on)
-        for trial in pending
-    ]
     result.effective_jobs = max(1, min(int(jobs), len(pending)))
 
     if reporter is not None:
@@ -370,7 +375,7 @@ def execute_trials(
 
             if result.effective_jobs == 1 or len(pending) < MIN_TRIALS_FOR_POOL:
                 result.effective_jobs = 1
-                _collect(map(_execute_trial, payloads))
+                _collect(_run_trials(scenario.name, pending))
             else:
                 ctx = (
                     mp_context if mp_context is not None
@@ -384,10 +389,14 @@ def execute_trials(
                     "sweep %s: pool dispatch — %d workers, chunk size %d",
                     scenario.name, result.effective_jobs, size,
                 )
+                chunks = [
+                    (scenario.name, pending[start:start + size], telemetry_on)
+                    for start in range(0, len(pending), size)
+                ]
                 with ctx.Pool(processes=result.effective_jobs) as pool:
-                    _collect(
-                        pool.imap_unordered(_execute_trial, payloads, chunksize=size)
-                    )
+                    _collect(itertools.chain.from_iterable(
+                        pool.imap_unordered(_execute_chunk, chunks)
+                    ))
     finally:
         _TRIALS_EXECUTED.inc(executed)
 

@@ -1,7 +1,8 @@
 """The job model and bounded queue behind the sweep service.
 
 A :class:`Job` is one submitted sweep: a :class:`SweepSpec`, execution
-options, a lifecycle state (``queued → running → done | failed``) and — while
+options, a lifecycle state (``queued → running → done | failed``; ``done``
+follows the artefact writes and the warehouse ingest) and — while
 running — the latest :class:`~repro.telemetry.progress.ProgressEvent`
 heartbeat from ``run_sweep``'s progress hook (the hook was designed for
 exactly this poller).
@@ -235,6 +236,9 @@ class JobQueue:
                 written["trace"] = write_trace(
                     job.output_dir / "trace.jsonl", trace_records
                 )
+            # index before publishing DONE, so a DONE job is queryable (the
+            # best-effort ingest never raises: a failed one still ends DONE)
+            self._ingest(job)
             with self._lock:
                 job.result = result
                 job.artifacts = {name: str(path) for name, path in written.items()}
@@ -242,7 +246,6 @@ class JobQueue:
                 job.finished_s = time.time()
             _COMPLETED.inc()
             logger.info("job %s: done (%d records)", job.job_id, len(result.records))
-            self._ingest(job)
         except BaseException as error:  # a failed job must never kill its worker thread
             with self._lock:
                 job.state = JobState.FAILED

@@ -168,7 +168,7 @@ class TestEngineSweepEquivalence:
             BatchFixedPointMPEngine().run_spec(foreign)
 
     def test_trial_level_batch_axis_identical(self, spec):
-        """`--set batch=true` (one-row batches inside trials) changes nothing."""
+        """`--set batch=true` (the batched datapath via the run_batch hook) changes nothing."""
         scalar = run_sweep(spec)
         batched = run_sweep(spec.with_base(batch=True))
         strip = lambda record: {k: v for k, v in record.items() if k != "batch"}  # noqa: E731

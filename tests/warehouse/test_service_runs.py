@@ -68,6 +68,31 @@ class TestAutoIngest:
         assert _get(f"{base}/api/v1/runs?scenario=no-such-scenario")["count"] == 0
         assert _get(f"{base}/api/v1/runs")["count"] == 1
 
+    def test_no_poll_sees_done_before_the_run_is_listed(self, service, monkeypatch):
+        base, queue, _ = service
+        ingest = JobQueue._ingest
+
+        def slow_ingest(self, job):
+            time.sleep(0.3)  # widen the window between artefacts and index
+            ingest(self, job)
+
+        monkeypatch.setattr(JobQueue, "_ingest", slow_ingest)
+        job, _ = queue.submit(get_scenario("platform-energy").spec)
+        states = []
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            state = _get(f"{base}/api/v1/jobs/{job.job_id}")["state"]
+            states.append(state)
+            if state == "done":
+                listed = _get(f"{base}/api/v1/runs?scenario=platform-energy")
+                assert listed["count"] == 1, "a poll saw DONE before the run was queryable"
+            if state in ("done", "failed"):
+                break
+            time.sleep(0.005)
+        assert states[-1] == "done"
+        # the delayed ingest was observed as a not-yet-done job
+        assert "running" in states
+
     def test_ingest_failure_does_not_fail_the_job(self, service, tmp_path):
         _, queue, warehouse = service
         # poison the warehouse path so every ingest raises
