@@ -14,7 +14,9 @@ run on the passband representation:
 
 Both directions use polyphase resampling (scipy) whose group delay is
 compensated, so an up/down round trip reproduces the baseband signal up to
-band-limiting error — which is what the round-trip tests check.
+band-limiting error — which is what the round-trip tests check.  scipy is
+imported inside the two conversion functions, so importing the package (and
+every CLI start) does not pay for it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.utils.validation import check_integer, check_positive, ensure_1d_array
 
@@ -99,6 +100,7 @@ def upconvert(
     check_integer("interpolation_factor", interpolation_factor, minimum=2)
     if baseband.size == 0:
         return np.zeros(0, dtype=np.float64)
+    from scipy import signal as sp_signal
 
     interpolated = sp_signal.resample_poly(baseband, interpolation_factor, 1)
     passband_rate = baseband_rate_hz * interpolation_factor
@@ -125,6 +127,7 @@ def downconvert(
     check_integer("interpolation_factor", interpolation_factor, minimum=2)
     if passband.size == 0:
         return np.zeros(0, dtype=np.complex128)
+    from scipy import signal as sp_signal
 
     passband_rate = baseband_rate_hz * interpolation_factor
     t = np.arange(passband.shape[0]) / passband_rate

@@ -113,25 +113,29 @@ class ResultCache:
     def __post_init__(self) -> None:
         self.cache_dir = Path(self.cache_dir)
 
-    def _path(self, scenario: str, key: str) -> Path:
-        return Path(self.cache_dir) / scenario / key[:2] / f"{key}.json"
+    def _path(self, scenario: str, key: str) -> str:
+        # plain ``str`` paths: this runs twice per trial on a cold sweep
+        return os.path.join(self.cache_dir, scenario, key[:2], key + ".json")
 
-    def _load(self, path: Path) -> dict[str, Any]:
+    def _load(self, path: str) -> dict[str, Any]:
         """Read and validate one record file.
 
         Raises :class:`FileNotFoundError` for a genuine miss and
         :class:`_CorruptRecord` for a file that exists but cannot be trusted
-        (invalid JSON, or a payload without a dict-valued ``"record"``).
+        (invalid JSON or UTF-8, or a payload without a dict-valued
+        ``"record"``).
         """
+        with open(path, "rb") as handle:
+            raw = handle.read()
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
+            payload = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise _CorruptRecord(f"invalid JSON: {error}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("record"), dict):
             raise _CorruptRecord("payload is not an object with a 'record' object")
         return payload["record"]
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt file out of the ``*.json`` namespace (best effort).
 
         The rename is atomic, so concurrent readers tripping over the same
@@ -139,7 +143,7 @@ class ResultCache:
         both end up reporting a miss.
         """
         try:
-            os.replace(path, path.with_suffix(".corrupt"))
+            os.replace(path, os.path.splitext(path)[0] + ".corrupt")
         except FileNotFoundError:
             pass  # another reader quarantined it first
         self.stats.quarantined += 1
@@ -176,8 +180,10 @@ class ResultCache:
         writers of the same content-addressed key are last-write-wins over
         identical payloads.
         """
-        path = self._path(scenario, key)
-        atomic_write_text(path, canonical_json({"key": key, "record": dict(record)}))
+        path = atomic_write_text(
+            self._path(scenario, key),
+            canonical_json({"key": key, "record": dict(record)}),
+        )
         self.stats.writes += 1
         _WRITES.inc()
         return path

@@ -534,13 +534,11 @@ def _mp_refinement_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]
     }
 
 
-def _network_lifetime_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
+def _network_lifetime_metrics(params: Mapping[str, Any]) -> dict[str, Any]:
     """Deployment lifetime (days) of one platform on one network configuration.
 
-    ``topology`` selects the deployment geometry (``grid`` or ``random``) and
-    ``batch`` the vectorised or scalar analytical estimator; both produce
-    identical lifetimes, so the axes exist for cross-validation and
-    benchmarking sweeps.
+    The analytical model draws no random numbers, so the result depends on
+    ``params`` alone, never on the trial seed.
     """
     config = _config_from(params)
     platform = str(params["platform"])
@@ -572,6 +570,43 @@ def _network_lifetime_trial(params: Mapping[str, Any], seed: int) -> dict[str, A
         batch=bool(params.get("batch", True)),
     )
     return {"lifetime_days": lifetimes_s[platform] / 86_400.0}
+
+
+def _network_lifetime_batch(
+    points: Sequence[TrialPoint],
+) -> Iterator[tuple[TrialPoint, dict[str, Any]]]:
+    """The ``network-lifetime`` batch hook: one model run per distinct params.
+
+    The model is seed-free, so the replicates of a configuration share one
+    result: ``batch`` points are memoised on their full parameter set and
+    each gets its own copy of the metrics.  The key carries each value's
+    type, because ``1``, ``1.0`` and ``True`` compare equal but are distinct
+    parameters.  Any other point runs the scalar executable spec, trial by
+    trial.
+    """
+    memo: dict[tuple, dict[str, Any]] = {}
+    for point in points:
+        params = point.params
+        if not bool(params.get("batch", True)):
+            yield point, _network_lifetime_metrics(params)
+            continue
+        key = tuple((name, type(value), value) for name, value in sorted(params.items()))
+        metrics = memo.get(key)
+        if metrics is None:
+            metrics = memo[key] = _network_lifetime_metrics(params)
+        yield point, dict(metrics)
+
+
+def _network_lifetime_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
+    """Deployment lifetime (days) of one platform on one network configuration.
+
+    ``topology`` selects the deployment geometry (``grid`` or ``random``) and
+    ``batch`` the vectorised or scalar analytical estimator; both produce
+    identical lifetimes, so the axes exist for cross-validation and
+    benchmarking sweeps.  This is :func:`_network_lifetime_batch` on a group
+    of one; sweeps call the hook with all their trials.
+    """
+    return _single_trial(_network_lifetime_batch, params, seed)
 
 
 def _contention_simulator(params: Mapping[str, Any], seed: int) -> NetworkSimulator:
@@ -794,6 +829,7 @@ register(Scenario(
     layers=("network", "modem"),
     version="2",
     run_trial=_network_lifetime_trial,
+    run_batch=_network_lifetime_batch,
     default_spec=SweepSpec(
         scenario="network-lifetime",
         grid={

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,3 +91,13 @@ class TestDownconvert:
 
     def test_empty_input(self, front_end):
         assert front_end.downconvert(np.zeros(0)).shape == (0,)
+
+
+def test_cli_start_does_not_import_scipy():
+    """scipy is imported by the conversions themselves, not on ``import repro.cli``."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import repro.cli, sys; assert 'scipy' not in sys.modules"],
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
+import threading
+
 import pytest
 
 from repro.experiments import ResultCache, get_scenario, run_sweep, trial_key
+from repro.utils import atomic
 
 
 class TestTrialKey:
@@ -145,3 +149,55 @@ class TestSweepCaching:
         second = run_sweep(spec)
         assert second.stats.executed == second.stats.num_trials
         assert second.records == first.records
+
+
+class TestWritePath:
+    """The lean atomic write: no torn or stray files, self-healing directories."""
+
+    KEY = "ff" + "0" * 38
+
+    @pytest.mark.parametrize("call", ["write", "replace"])
+    def test_failed_put_leaves_no_record_and_no_temp(self, tmp_path, monkeypatch, call):
+        cache = ResultCache(tmp_path)
+        cache.put("scn", "aa" + "0" * 38, {"value": 1})  # the fan-out dir exists
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(atomic.os, call, fail)
+        with pytest.raises(OSError):
+            cache.put("scn", self.KEY, {"value": 2})
+        monkeypatch.undo()
+        assert not cache.contains("scn", self.KEY)
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert cache.count() == 1 and cache.stats.writes == 1
+
+    def test_put_after_cache_dir_is_deleted(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache = ResultCache(cache_dir)
+        cache.put("scn", self.KEY, {"value": 1})
+        shutil.rmtree(cache_dir)
+        path = cache.put("scn", self.KEY, {"value": 2})
+        assert path == cache_dir / "scn" / "ff" / f"{self.KEY}.json"
+        assert cache.get("scn", self.KEY) == {"value": 2}
+
+    def test_two_threads_writing_distinct_keys(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        errors: list[BaseException] = []
+
+        def writer(thread: int) -> None:
+            try:
+                for i in range(500):
+                    key = f"{i % 16:02x}{thread}{i:037d}"
+                    cache.put("scn", key, {"thread": thread, "i": i})
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert cache.count() == 1000

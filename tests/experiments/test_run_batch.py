@@ -2,7 +2,8 @@
 
 ``fixedpoint-bitwidth`` and ``ipcore-parallelism`` hand the runner a batch
 hook that stacks each group of pending trials through one batched-engine
-call.  Whatever the route — batch or scalar datapath, serial or pooled,
+call; ``network-lifetime``'s hook runs its seed-free model once per distinct
+parameter set and shares the result among the replicates.  Whatever the route — batch or scalar datapath, serial or pooled,
 cold or half-warm cache, fixed or adaptive — the records must compare ``==``
 to a plain loop of ``scenario.run_trial`` over ``spec.expand()``.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
 from repro.core.ipcore import BatchIPCoreEngine
-from repro.experiments import ResultCache, get_scenario, run_sweep
+from repro.experiments import ResultCache, get_scenario, registry, run_sweep
 from repro.experiments.adaptive import AdaptiveConfig, run_adaptive_sweep
 from repro.experiments.runner import trial_record
 from repro.telemetry import start_trace, validate_trace
@@ -120,3 +121,87 @@ def test_engine_sees_whole_groups(scenario_name, monkeypatch):
     # and the stacked estimates equal the scalar executable spec's
     scalar = _loop_records(_spec(scenario_name, False))
     assert [_strip_batch(r) for r in result.records] == [_strip_batch(r) for r in scalar]
+
+
+# --------------------------------------------------------------------------- #
+# network-lifetime: a seed-free model, memoised per distinct parameter set
+# --------------------------------------------------------------------------- #
+def _lifetime_spec(batch: bool, replicates: int = REPLICATES):
+    spec = get_scenario("network-lifetime").spec
+    spec = spec.with_axis("report_interval_s", (60.0, 300.0)).select_zipped(
+        "platform", ("MicroBlaze", "Virtex-4 112FC 8bit")
+    )
+    return spec.with_base(batch=batch).with_seed(base_seed=5, replicates=replicates)
+
+
+def _count_model_runs(monkeypatch) -> list[dict]:
+    calls: list[dict] = []
+    original = registry._network_lifetime_metrics
+
+    def spy(params):
+        calls.append(dict(params))
+        return original(params)
+
+    monkeypatch.setattr(registry, "_network_lifetime_metrics", spy)
+    return calls
+
+
+def test_network_lifetime_declares_run_batch():
+    assert get_scenario("network-lifetime").run_batch is not None
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_lifetime_records_equal_a_loop_of_run_trial(batch, jobs):
+    spec = _lifetime_spec(batch)
+    result = run_sweep(spec, jobs=jobs, chunk_size=5)
+    assert result.records == _loop_records(spec)
+    assert result.stats.executed == result.stats.num_trials == spec.num_trials
+
+
+def test_lifetime_half_warm_cache_restamps_hits(tmp_path):
+    cache = ResultCache(tmp_path)
+    run_sweep(_lifetime_spec(True, replicates=2), cache=cache)
+    spec = _lifetime_spec(True, replicates=4)
+    result = run_sweep(spec, cache=cache)
+    stats = result.stats
+    assert stats.cache_hits == stats.executed == stats.num_trials // 2
+    assert result.records == _loop_records(spec)
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+def test_lifetime_model_runs_once_per_distinct_params(batch, monkeypatch):
+    calls = _count_model_runs(monkeypatch)
+    spec = _lifetime_spec(batch)
+    run_sweep(spec)
+    points = spec.num_trials // REPLICATES
+    assert len(calls) == (points if batch else spec.num_trials)
+
+
+def test_lifetime_rows_sharing_a_label_keep_their_own_energy(monkeypatch):
+    calls = _count_model_runs(monkeypatch)
+    # two rows share a label; `--set platform=MicroBlaze` keeps both
+    spec = (
+        get_scenario("network-lifetime").spec
+        .with_axis("report_interval_s", (60.0,))
+        .with_axis("topology", ("grid",))
+        .with_zipped({
+            "platform": ("MicroBlaze", "TI C6713 DSP", "MicroBlaze"),
+            "energy_uj": (2000.40, 500.76, 9.50),
+        })
+        .select_zipped("platform", ("MicroBlaze",))
+        .with_seed(base_seed=5, replicates=REPLICATES)
+    )
+    result = run_sweep(spec)
+    # one memo entry per energy, not one per platform label
+    assert sorted(call["energy_uj"] for call in calls) == [9.50, 2000.40]
+    assert result.records == _loop_records(spec)
+    lifetimes = {(r["energy_uj"], r["lifetime_days"]) for r in result.records}
+    assert len(lifetimes) == 2
+
+
+def test_lifetime_replicates_get_independent_metrics():
+    spec = _lifetime_spec(True, replicates=2)
+    pairs = list(registry._network_lifetime_batch(spec.expand()))
+    first, second = (metrics for point, metrics in pairs if point.index in (0, 1))
+    assert first == second and first is not second

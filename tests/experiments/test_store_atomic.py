@@ -8,11 +8,13 @@ destination is untouched and no temp files leak.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.analysis.export import write_csv
 from repro.experiments.store import ResultStore, read_jsonl, write_jsonl
+from repro.utils import atomic
 from repro.utils.atomic import atomic_write_text, atomic_writer
 
 
@@ -51,6 +53,56 @@ class TestAtomicWriter:
         with pytest.raises(_Boom):
             atomic_writer(target, lambda handle: (_ for _ in ()).throw(_Boom()))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+
+class TestAtomicWriteText:
+    """The raw ``os.open``/``os.write`` path of :func:`atomic_write_text`."""
+
+    @pytest.mark.parametrize("call", ["write", "replace"])
+    def test_failure_keeps_previous_version_and_leaks_nothing(
+        self, tmp_path, monkeypatch, call
+    ):
+        target = tmp_path / "file.txt"
+        atomic_write_text(target, "version 1")
+
+        def fail(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(atomic.os, call, fail)
+        with pytest.raises(OSError):
+            atomic_write_text(target, "version 2")
+        monkeypatch.undo()
+        assert target.read_text() == "version 1"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+    def test_partial_writes_are_completed(self, tmp_path, monkeypatch):
+        real_write = os.write
+        sizes: list[int] = []
+
+        def trickle(fd, data):
+            sizes.append(real_write(fd, bytes(data[:3])))
+            return sizes[-1]
+
+        monkeypatch.setattr(atomic.os, "write", trickle)
+        text = "déjà vu " * 5
+        path = atomic_write_text(tmp_path / "file.txt", text)
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == text
+        assert len(sizes) > 1 and sum(sizes) == len(text.encode("utf-8"))
+
+    def test_existing_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(atomic, "_temp_counter", iter(range(7, 100)))
+        stale = tmp_path / f".file.txt.{os.getpid()}.7.tmp"
+        stale.write_text("orphan of an earlier process")
+        atomic_write_text(tmp_path / "file.txt", "fresh")
+        assert (tmp_path / "file.txt").read_text() == "fresh"
+        assert stale.read_text() == "orphan of an earlier process"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "file.txt"]
+
+    def test_missing_directory_is_created(self, tmp_path):
+        path = atomic_write_text(str(tmp_path / "a" / "b" / "file.txt"), "x")
+        assert path == tmp_path / "a" / "b" / "file.txt"
+        assert path.read_text() == "x"
 
 
 class TestWriteJsonlAtomicity:
