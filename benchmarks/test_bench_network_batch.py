@@ -8,9 +8,9 @@ besides being faster it returns *identical* results — which this benchmark
 also asserts, making it an end-to-end equivalence check at benchmark scale.
 
 The hard gate is >= 5x (the ISSUE 3 acceptance threshold); on this workload
-the batched engine typically measures 10-20x even on a loaded single-core
-runner, since the event loop prices ~10^4 packet hops per trial in Python
-while the batch engine replays only each trial's single death event.  The
+the batched engine measures ~30-37x on a 2-core container, since the event
+loop prices ~10^4 packet hops per trial in Python while the batch engine
+replays only each trial's single death event.  The
 measured ratio is stored in ``extra_info`` (and the benchmark JSON artifact
 in CI, where ``benchmarks/compare.py`` tracks regressions against the
 previous run).

@@ -2,14 +2,14 @@
 
 Runs the contention-realistic network stack (per-packet CSMA collision
 draws with bounded retries, plus a TTL-flooding variant) through both the
-event loop and the batched general path at equal trial counts and records
+event loop and the batched engine at equal trial counts and records
 the speed-up.  Both engines evaluate the same counter-based uniforms and the
 same closed-form accounting, so besides being faster the batched engine
 returns *identical* results — packet drops included — which this benchmark
 asserts, making it an end-to-end equivalence check at benchmark scale.
 
 The hard gate is >= 5x (the same bar as the legacy network benchmark); on
-this workload the batched general path typically measures ~10-16x even on a
+this workload the batched engine typically measures ~10-16x even on a
 loaded single-core runner, since the event loop draws and prices every
 attempt of every hop in Python while the batch engine vectorises whole event
 segments between deaths.  The measured ratio is stored in ``extra_info``
@@ -121,7 +121,7 @@ def test_bench_network_contention(benchmark):
             + [("contention sweep (total)", round(event_total, 3), round(batch_total, 3),
                 f"{speedup:.1f}x")],
             title=(
-                f"Contention sweep — batched general path vs event loop "
+                f"Contention sweep — batched engine vs event loop "
                 f"(25 nodes, CSMA, {len(SEEDS)} jittered trials x {len(PROTOCOLS)} protocols)"
             ),
         )

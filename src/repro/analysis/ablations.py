@@ -455,9 +455,9 @@ def simulated_network_lifetime_study(
 
     Unlike :func:`network_lifetime_study` (the closed-form estimate), this
     runs the packet-level :class:`~repro.network.simulator.NetworkSimulator`
-    — on the vectorised batch engine by default, with ``trials`` jittered
-    traffic seeds batched per platform — and reports per-platform lifetime
-    and delivery-ratio summaries.  Trials whose network outlives ``max_days``
+    — on the vectorised batch engine by default, one engine per jittered
+    traffic seed (``trials`` of them per platform) — and reports
+    per-platform lifetime and delivery-ratio summaries.  Trials whose network outlives ``max_days``
     are reported as censored (see :func:`summarize_lifetimes`).  ``topology``
     selects the same ``grid``/``random`` geometries as the analytical study;
     ``mac``/``protocol``/``mobility`` pass a MAC model (e.g.

@@ -23,7 +23,6 @@ from repro.modem.receiver import BatchReceiverOutput, Receiver, ReceiverOutput
 from repro.modem.link import LinkSimulator, LinkResult, symbol_error_rate_curve
 from repro.modem.batch import BatchLinkEngine
 from repro.modem.energy_budget import ModemEnergyBudget, PacketEnergyBreakdown
-from repro.modem.synchronization import FrameSynchronizer, SynchronizationResult
 
 __all__ = [
     "AquaModemConfig",
@@ -40,6 +39,4 @@ __all__ = [
     "symbol_error_rate_curve",
     "ModemEnergyBudget",
     "PacketEnergyBreakdown",
-    "FrameSynchronizer",
-    "SynchronizationResult",
 ]

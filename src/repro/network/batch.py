@@ -1,4 +1,4 @@
-"""Vectorised round-based network simulation: the batched lifetime engine.
+"""Vectorised network simulation: the batched lifetime engine.
 
 The event loop in :mod:`repro.network.simulator` prices every packet hop by
 hop in Python, which makes platform/topology lifetime sweeps (experiment E9)
@@ -10,34 +10,29 @@ accounting while reproducing the event loop bit-for-bit:
    generated analytically round-block by round-block with sequential
    ``cumsum`` accumulation (matching the scheduler's repeated
    ``now + delay`` float trajectory); jittered traffic replays the
-   scheduler's heap, drawing the identical RNG stream one uniform per event.
-2. **Charge model** — who pays for whose packets is a static function of the
-   routing subtree (cf. :func:`repro.network.lifetime.subtree_sizes`):
-   per-source transmit/receive indicator matrices over the current alive set.
+   scheduler's heap over delays drawn one block per chunk — the same RNG
+   values, in the same order, as the scheduler's one draw per event.
+2. **Increments** — per-event charge matrices (transmissions, receptions,
+   forwards per node) under the current alive set and topology.  Routed
+   forwarding follows each source's alive path prefix; contention
+   (:class:`~repro.network.mac.CsmaMac`) retry counts come from the same
+   counter-based uniforms (:func:`repro.utils.rng.counter_uniforms`, keyed by
+   each event's global schedule index) the event loop draws; TTL floods
+   (:class:`~repro.network.routing.TtlFlooding`) are propagated
+   level-synchronously as boolean matrix products; and chunks are segmented
+   at mobility (:class:`~repro.network.topology.LinearMobility`) epoch
+   boundaries so every segment sees one fixed topology.
 3. **Death scan** — per-node demanded energy is the closed form
    ``tx_count * tx_energy + rx_count * rx_energy + idle_power * t`` (the same
-   expression :attr:`SensorNode.demanded_j` evaluates), so battery-depletion
-   events are resolved by a cumulative scan over all nodes — and all trials —
-   simultaneously.  Because the accounting is closed form over integer
-   counts, the scan needs no running float state: each chunk starts from the
-   nodes' own counts.
-4. **Fast-forward + replay** — a crossing-free span is applied to the node
-   states in one bulk update; only the boundary event (where a node dies and
-   packet delivery may truncate mid-path) is replayed through the event
-   loop's own per-hop accounting, keeping partial-delivery semantics exact.
-
-Contention (:class:`~repro.network.mac.CsmaMac`), TTL flooding
-(:class:`~repro.network.routing.TtlFlooding`) and mobility
-(:class:`~repro.network.topology.LinearMobility`) run through the *general*
-path: charges are no longer a static per-source function, so the engine
-builds exact per-event increment matrices instead — contention retry counts
-come from the same counter-based uniforms
-(:func:`repro.utils.rng.counter_uniforms`, keyed by each event's global
-schedule index) the event loop draws, floods are propagated
-level-synchronously as boolean matrix products, and chunks are segmented at
-mobility epoch boundaries so every segment sees one fixed topology.  The
-cumulative death scan and boundary-event replay work unchanged on top of the
-increments.
+   expression :attr:`SensorNode.demanded_j` evaluates), so the first battery
+   depletion is found by a cumulative scan over the increments.  Because the
+   accounting is closed form over integer counts, the scan needs no running
+   float state: each segment starts from the nodes' own counts.
+4. **Bulk apply + replay** — the events before the first crossing are applied
+   to the node states in one bulk update; only the boundary event (where a
+   node dies and packet delivery may truncate mid-path) is replayed through
+   the event loop's own per-hop accounting, keeping partial-delivery
+   semantics exact.
 
 Both engines agree exactly on death times, death order, packet counts,
 delivery ratios and per-component energy — the seed-locked equivalence suite
@@ -71,10 +66,7 @@ __all__ = [
 # per-chunk telemetry (one update per scanned chunk, never per event)
 _EVENTS = counter("engine.network.events")
 _CHUNKS = counter("engine.network.chunks")
-_SCAN_TRIALS = histogram("engine.network.scan_live_trials")
-#: events processed through the general (contention/flooding/mobility) path
-_GENERAL_EVENTS = counter("engine.network.general_events")
-#: events per same-topology segment of the general path
+#: events per same-topology segment
 _SEGMENT_EVENTS = histogram("engine.network.segment_events")
 #: same counter instance the event loop increments (registry-deduplicated)
 _PACKETS_DROPPED = counter("network.packets_dropped")
@@ -89,11 +81,13 @@ class ScheduleStream:
 
     Emits every event the event loop would process: (time, source) pairs with
     ``time <= max_time_s``, capped at ``max_events`` in total, ordered by
-    (time, schedule sequence).  With jitter the scheduler's heap is replayed,
-    consuming the RNG stream one uniform per event in the identical order;
-    without jitter, times are built round-block by round-block with
-    sequential ``cumsum`` accumulation, so the float trajectories match the
-    event loop's repeated ``now + delay`` bit for bit.
+    (time, schedule sequence).  With jitter the scheduler's heap is replayed;
+    each chunk's delays come from one ``rng.uniform`` block draw, which yields
+    the values the scheduler's per-event draws would, in the same order (the
+    draws past the horizon are never used, and nothing reads the generator
+    after the schedule).  Without jitter, times are built round-block by
+    round-block with sequential ``cumsum`` accumulation, so the float
+    trajectories match the event loop's repeated ``now + delay`` bit for bit.
     """
 
     def __init__(
@@ -146,20 +140,23 @@ class ScheduleStream:
 
     def _next_jittered(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         traffic = self.traffic
-        rng = self.rng
+        jitter = traffic.jitter_fraction
+        # elementwise the same float ops as PeriodicTraffic.next_interval
+        delays = traffic.report_interval_s * (1.0 + self.rng.uniform(-jitter, jitter, size))
         heap = self._heap
+        sequence = self._sequence
         out_times: list[float] = []
         out_sources: list[int] = []
-        while heap and len(out_times) < size:
-            now, _, node_id = heapq.heappop(heap)
+        for delay in delays.tolist():
+            now, _, node_id = heap[0]
             if now > self.max_time_s:
                 self._remaining = 0
                 break
             out_times.append(now)
             out_sources.append(node_id)
-            delay = traffic.next_interval(rng)
-            heapq.heappush(heap, (now + delay, self._sequence, node_id))
-            self._sequence += 1
+            heapq.heapreplace(heap, (now + delay, sequence, node_id))
+            sequence += 1
+        self._sequence = sequence
         return np.asarray(out_times, dtype=np.float64), np.asarray(out_sources, dtype=np.int64)
 
     def _generate_rounds(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,46 +220,6 @@ def generate_report_schedule(
     return np.concatenate(all_times), np.concatenate(all_sources)
 
 
-def _first_crossings(
-    times: np.ndarray,
-    src_rows: np.ndarray,
-    valid: np.ndarray,
-    tx_ind: np.ndarray,
-    rx_ind: np.ndarray,
-    base_tx: np.ndarray,
-    base_rx: np.ndarray,
-    scan_rows: np.ndarray,
-    attempts: int,
-    tx_energy: float,
-    rx_energy: float,
-    idle_power: float,
-    capacity: float,
-) -> np.ndarray:
-    """First event index per trial where any scanned node's demand reaches capacity.
-
-    ``times``/``src_rows``/``valid`` are (trials, events) padded arrays (pad
-    entries carry zero charge and a frozen time, so they can never introduce
-    a crossing); ``base_tx``/``base_rx`` are (trials, nodes) charge counts at
-    the scan start.  Returns a (trials,) array of event indices, -1 where no
-    crossing occurs.  The demand expression mirrors
-    :attr:`repro.network.node.SensorNode.demanded_j` term for term, so the
-    crossing decision is bit-identical to the event loop's battery checks.
-    """
-    num_trials = times.shape[0]
-    found = np.full(num_trials, -1, dtype=np.int64)
-    if scan_rows.size == 0 or times.shape[1] == 0:
-        return found
-    inc_tx = tx_ind[scan_rows][:, src_rows] * valid[np.newaxis, :, :]  # (scanned, trials, E)
-    inc_rx = rx_ind[scan_rows][:, src_rows] * valid[np.newaxis, :, :]
-    ntx = base_tx[:, scan_rows].T[:, :, np.newaxis] + attempts * np.cumsum(inc_tx, axis=2)
-    nrx = base_rx[:, scan_rows].T[:, :, np.newaxis] + attempts * np.cumsum(inc_rx, axis=2)
-    demanded = ntx * tx_energy + nrx * rx_energy + idle_power * times[np.newaxis, :, :]
-    crossed = (demanded >= capacity).any(axis=0)  # (trials, E)
-    for trial in np.nonzero(crossed.any(axis=1))[0]:
-        found[trial] = int(np.argmax(crossed[trial]))
-    return found
-
-
 @dataclass
 class _EventIncrements:
     """Exact per-event charge increments for one same-topology segment.
@@ -297,63 +254,15 @@ class BatchNetworkEngine:
         sim = self.simulator
         self._ids = list(sim.nodes)
         self._rows = {node_id: row for row, node_id in enumerate(self._ids)}
+        self._row_of = np.full(max(self._ids) + 1, -1, dtype=np.int64)
+        self._row_of[self._ids] = np.arange(len(self._ids))
         self._attempts = int(np.ceil(sim._tx_multiplier))
         symbols = sim.traffic.packet_symbols
         self._tx_energy = sim.energy_budget.transmit_energy_j(symbols)
         self._rx_energy = sim.energy_budget.receive_energy_j(symbols).total_j
         self._idle_power = sim.energy_budget.idle_power_w()
-        # contention, flooding and mobility make per-event charges dynamic,
-        # which selects the increment-matrix path; everything else stays on
-        # the (byte-identical) static charge-model path
-        self._general = (
-            sim._contention is not None
-            or isinstance(sim.protocol, TtlFlooding)
-            or sim.mobility is not None
-        )
 
     # ------------------------------------------------------------------ #
-    def _to_rows(self, sources: np.ndarray) -> np.ndarray:
-        """Map source node ids to node rows."""
-        if sources.size == 0:
-            return sources.astype(np.int64)
-        lut = np.full(max(self._ids) + 1, -1, dtype=np.int64)
-        for node_id, row in self._rows.items():
-            lut[node_id] = row
-        return lut[sources]
-
-    def _charge_model(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-source charge indicators over the current alive set.
-
-        Column ``s`` of the transmit/receive matrices marks which nodes are
-        charged when (alive) source ``s`` reports: its routing path truncated
-        at the first dead node, mirroring the event loop's hop-by-hop
-        aliveness checks.  ``deliverable`` marks sources whose full path to
-        the sink is alive.
-        """
-        sim = self.simulator
-        rows = self._rows
-        count = len(rows)
-        tx_ind = np.zeros((count, count), dtype=np.int64)
-        rx_ind = np.zeros((count, count), dtype=np.int64)
-        alive_source = np.zeros(count, dtype=bool)
-        deliverable = np.zeros(count, dtype=bool)
-        for node_id in sim.sensor_ids:
-            if not sim.nodes[node_id].is_alive:
-                continue
-            col = rows[node_id]
-            alive_source[col] = True
-            path = sim.routing.route(node_id)
-            cut = len(path)
-            for position, hop_id in enumerate(path):
-                if not sim.nodes[hop_id].is_alive:
-                    cut = position
-                    break
-            deliverable[col] = cut == len(path)
-            for hop in range(cut - 1):
-                tx_ind[rows[path[hop]], col] = 1
-                rx_ind[rows[path[hop + 1]], col] = 1
-        return tx_ind, rx_ind, alive_source, deliverable
-
     def _alive_sensor_rows(self) -> np.ndarray:
         sim = self.simulator
         return np.asarray(
@@ -373,65 +282,6 @@ class BatchNetworkEngine:
         base = np.asarray(counts, dtype=np.int64)
         return base[:, 0], base[:, 1]
 
-    def _scan(
-        self,
-        times: np.ndarray,
-        src_rows: np.ndarray,
-        tx_ind: np.ndarray,
-        rx_ind: np.ndarray,
-    ) -> int | None:
-        base_tx, base_rx = self._base_counts()
-        found = _first_crossings(
-            times[np.newaxis, :],
-            src_rows[np.newaxis, :],
-            np.ones((1, len(times)), dtype=bool),
-            tx_ind,
-            rx_ind,
-            base_tx[np.newaxis, :],
-            base_rx[np.newaxis, :],
-            self._alive_sensor_rows(),
-            self._attempts,
-            self._tx_energy,
-            self._rx_energy,
-            self._idle_power,
-            self.simulator.battery_capacity_j,
-        )
-        return None if found[0] < 0 else int(found[0])
-
-    def _fast_forward(
-        self,
-        times: np.ndarray,
-        src_rows: np.ndarray,
-        model: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Apply a crossing-free span of events to the node states in bulk."""
-        if len(times) == 0:
-            return
-        tx_ind, rx_ind, alive_source, deliverable = model
-        sim = self.simulator
-        counts = np.bincount(src_rows, minlength=len(self._ids))
-        tx_packets = tx_ind @ counts
-        rx_packets = rx_ind @ counts
-        now = float(times[-1])
-        symbols = sim.traffic.packet_symbols
-        attempts = self._attempts
-        sink_id = sim.deployment.sink_id
-        for node_id, row in self._rows.items():
-            node = sim.nodes[node_id]
-            if not node.is_alive:
-                continue
-            receive = int(rx_packets[row]) * attempts
-            node.apply_charges(
-                symbols,
-                transmit=int(tx_packets[row]) * attempts,
-                receive=receive,
-                forwarded=0 if node_id == sink_id else receive,
-                now_s=now,
-            )
-        sim._packets_generated += int(alive_source[src_rows].sum())
-        sim._packets_delivered += int(deliverable[src_rows].sum())
-
-    # ----------------------- general (dynamic-charge) path ------------- #
     def _alive_mask(self) -> np.ndarray:
         """Per-row aliveness of every node, in row order."""
         sim = self.simulator
@@ -634,9 +484,10 @@ class BatchNetworkEngine:
     def _scan_increments(self, times: np.ndarray, inc: _EventIncrements) -> int | None:
         """First event index whose cumulative increments kill a node, or None.
 
-        Same closed-form demand expression as :func:`_first_crossings` (and
-        :attr:`repro.network.node.SensorNode.demanded_j`), with the retry
-        attempts already folded into the increment counts.
+        Evaluates :attr:`repro.network.node.SensorNode.demanded_j`'s closed
+        form term for term over the alive sensors' running counts (the retry
+        attempts are already folded into the increments), so the crossing
+        decision is bit-identical to the event loop's battery checks.
         """
         scan_rows = self._alive_sensor_rows()
         if scan_rows.size == 0 or len(times) == 0:
@@ -685,7 +536,7 @@ class BatchNetworkEngine:
             sim._packets_dropped += int(drops.size)
             _PACKETS_DROPPED.inc(int(drops.size))
 
-    def _consume_general(
+    def _consume(
         self,
         times: np.ndarray,
         sources: np.ndarray,
@@ -693,16 +544,18 @@ class BatchNetworkEngine:
         stop_at_first_death: bool,
         offset: int,
     ) -> tuple[float | None, bool]:
-        """The general-path chunk consumer: segment, scan increments, replay.
+        """Process one chunk of events; returns (last event time, finished).
 
-        ``offset`` is the global schedule index of ``times[0]`` — the key
-        into the counter-based contention stream, which is how the two
-        engines observe identical per-packet draws without any stream state.
+        The chunk is split into same-topology segments; each is scanned for
+        its first death, applied in bulk up to it, and the boundary event is
+        replayed.  ``offset`` is the global schedule index of ``times[0]`` —
+        the key into the counter-based contention stream, which is how the
+        two engines observe identical per-packet draws without any stream
+        state.
         """
         sim = self.simulator
         last_time: float | None = None
         position = 0
-        _GENERAL_EVENTS.inc(len(times))
         while position < len(times):
             sim._refresh_topology(float(times[position]))
             segment_end = self._segment_end(times, position)
@@ -731,97 +584,41 @@ class BatchNetworkEngine:
         return last_time, False
 
     # ------------------------------------------------------------------ #
-    def _consume(
-        self,
-        times: np.ndarray,
-        sources: np.ndarray,
-        src_rows: np.ndarray,
-        stop_at_first_death: bool,
-        offset: int = 0,
-    ) -> tuple[float | None, bool]:
-        """Process one chunk of events; returns (last event time, finished)."""
-        sim = self.simulator
-        if self._general:
-            return self._consume_general(
-                times, sources, src_rows, stop_at_first_death, offset
-            )
-        last_time: float | None = None
-        position = 0
-        while position < len(times):
-            model = self._charge_model()
-            crossing = self._scan(times[position:], src_rows[position:], model[0], model[1])
-            stop = len(times) if crossing is None else position + crossing
-            if stop > position:
-                self._fast_forward(times[position:stop], src_rows[position:stop], model)
-                last_time = float(times[stop - 1])
-            position = stop
-            if crossing is None:
-                return last_time, False
-            # replay the boundary event through the event loop's own per-hop
-            # accounting: partial deliveries and death ordering stay exact
-            last_time = float(times[position])
-            sim._account_report(last_time, int(sources[position]))
-            position += 1
-            if stop_at_first_death and sim._first_death is not None:
-                return last_time, True
-        return last_time, False
-
-    # ------------------------------------------------------------------ #
     def run(
         self,
         max_time_s: float = 30.0 * 86_400.0,
         stop_at_first_death: bool = True,
         max_events: int = 500_000,
-        schedule: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> NetworkSimulationResult:
         """Run the batched simulation (same contract as the event loop).
 
-        Parameters
-        ----------
-        max_time_s, stop_at_first_death, max_events:
-            As in :meth:`NetworkSimulator.run`.
-        schedule:
-            Optional pre-generated (times, sources) from
-            :func:`generate_report_schedule`; by default events are generated
-            lazily so a run that dies early never materialises the full
-            horizon's schedule.
+        Events are generated lazily, chunk by chunk, so a run that dies early
+        never materialises the full horizon's schedule.  ``max_time_s``,
+        ``stop_at_first_death`` and ``max_events`` are as in
+        :meth:`NetworkSimulator.run`.
         """
         sim = self.simulator
         check_positive("max_time_s", max_time_s)
         end_time = 0.0
         with span("engine.network.run", nodes=len(self._ids)):
-            if schedule is not None:
-                times, sources = schedule
+            stream = ScheduleStream(
+                sim.traffic, sim.sensor_ids, as_rng(sim.rng), max_time_s, max_events
+            )
+            offset = 0
+            while True:
+                times, sources = stream.next_chunk()
+                if len(times) == 0:
+                    break
                 _CHUNKS.inc()
                 _EVENTS.inc(len(times))
-                last_time, _ = self._consume(
-                    times, sources, self._to_rows(sources), stop_at_first_death
+                last_time, finished = self._consume(
+                    times, sources, self._row_of[sources], stop_at_first_death, offset
                 )
+                offset += len(times)
                 if last_time is not None:
                     end_time = last_time
-            else:
-                stream = ScheduleStream(
-                    sim.traffic, sim.sensor_ids, as_rng(sim.rng), max_time_s, max_events
-                )
-                offset = 0
-                while True:
-                    times, sources = stream.next_chunk()
-                    if len(times) == 0:
-                        break
-                    _CHUNKS.inc()
-                    _EVENTS.inc(len(times))
-                    last_time, finished = self._consume(
-                        times,
-                        sources,
-                        self._to_rows(sources),
-                        stop_at_first_death,
-                        offset=offset,
-                    )
-                    offset += len(times)
-                    if last_time is not None:
-                        end_time = last_time
-                    if finished:
-                        break
+                if finished:
+                    break
             sim._advance_all(end_time)
             return sim._build_result(end_time)
 
@@ -842,17 +639,13 @@ def simulate_network_trials(
     max_events: int = 500_000,
     batch: bool = True,
 ) -> list[NetworkSimulationResult]:
-    """Monte-Carlo network-lifetime trials, batched across seeds.
+    """Monte-Carlo network-lifetime trials, one independent simulation per seed.
 
-    Runs one independent simulation per seed on a shared deployment and
-    energy model.  With ``batch=True`` (default) and the usual
-    ``stop_at_first_death`` mode, the death scan runs as one
-    (trials x nodes x events) array operation across every live trial
-    simultaneously; each trial's boundary event is then replayed exactly.
-    Contention/flooding/mobility configurations make the charge model
-    per-trial dynamic, so they run each trial on its own batched engine
-    instead of the cross-trial scan.  ``batch=False`` runs the per-packet
-    event loop per seed — results are identical either way, seed for seed.
+    Every trial runs on a shared deployment and energy model.  With
+    ``batch=True`` (default) each seed runs on its own
+    :class:`BatchNetworkEngine`, all under one ``engine.network.trials``
+    span; ``batch=False`` runs the per-packet event loop per seed — results
+    are identical either way, seed for seed.
     """
     traffic = traffic if traffic is not None else PeriodicTraffic()
     simulators = [
@@ -877,113 +670,5 @@ def simulate_network_trials(
     )
     if not batch:
         return [sim.run_event_loop(**run_args) for sim in simulators]
-    engines = [BatchNetworkEngine(sim) for sim in simulators]
-    general = bool(engines) and engines[0]._general
-    if not stop_at_first_death or general:
-        with span("engine.network.trials", trials=len(engines), mode="per-trial"):
-            return [engine.run(**run_args) for engine in engines]
-
-    # chunked cross-trial loop: every live trial's chunk is scanned in one
-    # (trials x nodes x events) pass under the shared all-alive charge model
-    num_trials = len(engines)
-    results: list[NetworkSimulationResult | None] = [None] * num_trials
-    if num_trials == 0:
-        return []
-    first = engines[0]
-    tx_ind, rx_ind, alive_source, deliverable = first._charge_model()
-    model = (tx_ind, rx_ind, alive_source, deliverable)
-    scan_rows = first._alive_sensor_rows()
-    streams = [
-        ScheduleStream(sim.traffic, sim.sensor_ids, as_rng(sim.rng), max_time_s, max_events)
-        for sim in simulators
-    ]
-    end_times = [0.0] * num_trials
-    live = list(range(num_trials))
-
-    def finalize(trial: int) -> None:
-        sim = simulators[trial]
-        sim._advance_all(end_times[trial])
-        results[trial] = sim._build_result(end_times[trial])
-
-    with span("engine.network.trials", trials=num_trials, mode="cross-trial"):
-        _run_cross_trial_scan(
-            engines, simulators, streams, live, end_times, finalize,
-            first, model, scan_rows, battery_capacity_j,
-        )
-        for trial in range(num_trials):
-            if results[trial] is None:
-                finalize(trial)
-    return [result for result in results if result is not None]
-
-
-def _run_cross_trial_scan(
-    engines, simulators, streams, live, end_times, finalize,
-    first, model, scan_rows, battery_capacity_j,
-) -> None:
-    """The chunked cross-trial death scan of :func:`simulate_network_trials`."""
-    tx_ind, rx_ind, _, _ = model
-    while live:
-        # budget the (nodes x trials x events) scan working set: with many
-        # live trials each one contributes a proportionally smaller chunk
-        _SCAN_TRIALS.observe(len(live))
-        chunk_size = max(256, _CHUNK_EVENTS // len(live))
-        chunks = {}
-        for trial in list(live):
-            times, sources = streams[trial].next_chunk(chunk_size)
-            if len(times) == 0:
-                finalize(trial)
-                live.remove(trial)
-            else:
-                chunks[trial] = (times, sources, engines[trial]._to_rows(sources))
-        if not chunks:
-            break
-        _CHUNKS.inc(len(chunks))
-        _EVENTS.inc(sum(len(chunk[0]) for chunk in chunks.values()))
-        order = sorted(chunks)
-        max_len = max(len(chunks[trial][0]) for trial in order)
-        times_pad = np.zeros((len(order), max_len))
-        src_pad = np.zeros((len(order), max_len), dtype=np.int64)
-        valid = np.zeros((len(order), max_len), dtype=bool)
-        base_tx = np.zeros((len(order), len(first._ids)), dtype=np.int64)
-        base_rx = np.zeros_like(base_tx)
-        for index, trial in enumerate(order):
-            times, _, src_rows = chunks[trial]
-            length = len(times)
-            times_pad[index, :length] = times
-            times_pad[index, length:] = times[-1]
-            src_pad[index, :length] = src_rows
-            valid[index, :length] = True
-            base_tx[index], base_rx[index] = engines[trial]._base_counts()
-        found = _first_crossings(
-            times_pad, src_pad, valid, tx_ind, rx_ind, base_tx, base_rx, scan_rows,
-            first._attempts, first._tx_energy, first._rx_energy, first._idle_power,
-            battery_capacity_j,
-        )
-        for index, trial in enumerate(order):
-            times, sources, src_rows = chunks[trial]
-            engine = engines[trial]
-            crossing = None if found[index] < 0 else int(found[index])
-            stop = len(times) if crossing is None else crossing
-            if stop > 0:
-                engine._fast_forward(times[:stop], src_rows[:stop], model)
-                end_times[trial] = float(times[stop - 1])
-            if crossing is None:
-                continue
-            end_times[trial] = float(times[crossing])
-            simulators[trial]._account_report(end_times[trial], int(sources[crossing]))
-            if simulators[trial]._first_death is None:
-                # defensive: a scanned crossing always kills a node in replay,
-                # but if it ever did not, consume the rest of the chunk with
-                # the single-trial engine and keep the trial live
-                last_time, finished = engine._consume(
-                    times[crossing + 1 :],
-                    sources[crossing + 1 :],
-                    src_rows[crossing + 1 :],
-                    stop_at_first_death=True,
-                )
-                if last_time is not None:
-                    end_times[trial] = last_time
-                if not finished:
-                    continue
-            finalize(trial)
-            live.remove(trial)
+    with span("engine.network.trials", trials=len(simulators)):
+        return [BatchNetworkEngine(sim).run(**run_args) for sim in simulators]

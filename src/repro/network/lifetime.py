@@ -55,10 +55,10 @@ class NodeLifetimeEstimate:
 def subtree_sizes(routing: RoutingTable) -> dict[int, int]:
     """Number of source nodes whose traffic passes through (or originates at) each node.
 
-    This is the routing-subtree size that drives both the analytical model
-    below and the batched simulation engine's charge model: per report
-    interval a node transmits ``subtree_size`` packets and receives
-    ``subtree_size - 1``.
+    This is the routing-subtree size that drives the analytical model below:
+    per report interval a node transmits ``subtree_size`` packets and
+    receives ``subtree_size - 1`` (the packet-level simulators charge the
+    same hops packet by packet).
     """
     sizes: dict[int, int] = {}
     for node in routing.next_hop:

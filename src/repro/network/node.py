@@ -241,10 +241,10 @@ class SensorNode:
     ) -> None:
         """Bulk equivalent of repeated ``account_*`` calls plus ``advance_time``.
 
-        Used by the batched engine to fast-forward a node through a span of
-        fully-delivered report events in one call; because the report and
-        battery are closed forms over the counts, the resulting state is
-        bit-identical to issuing the individual calls.
+        Used by the batched engine to apply a span of report events (the
+        ones before the next battery depletion) in one call; because the
+        report and battery are closed forms over the counts, the resulting
+        state is bit-identical to issuing the individual calls.
         """
         check_integer("transmit", transmit, minimum=0)
         check_integer("receive", receive, minimum=0)

@@ -25,7 +25,8 @@ lifetime — the quantity experiment E9 compares across hardware platforms.
 
 By default :meth:`NetworkSimulator.run` executes on the vectorised
 :class:`repro.network.batch.BatchNetworkEngine`, which replaces the
-per-packet event loop with round-based NumPy accounting; ``batch=False``
+per-packet event loop with chunked per-event charge matrices and a
+cumulative death scan in NumPy; ``batch=False``
 selects the original event loop, which is kept as the executable
 specification (the same role the per-frame loop plays for the batched link
 engine of PR 2) and is pinned bit-for-bit equal to the batched engine by

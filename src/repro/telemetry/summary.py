@@ -3,8 +3,9 @@
 Takes the flat JSONL span list a traced sweep exports and answers the three
 questions a slow run raises: *what ran* (the span tree, aggregated by name so
 a thousand trials render as one line), *where the time went* (per-stage
-totals over every span of a name), and *which trials were worst* (the
-slowest ``trial`` spans with their identifying attributes).
+totals and exclusive "self" time over every span of a name), and *which
+trials were worst* (the slowest ``trial`` spans with their identifying
+attributes).
 """
 
 from __future__ import annotations
@@ -26,31 +27,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StageStat:
-    """Aggregate timing of every span sharing one name."""
+    """Aggregate timing of every span sharing one name.
+
+    ``total_s`` is inclusive (a span's whole duration); ``self_s`` is
+    exclusive: each span's duration minus its direct children's, so nested
+    stages are never counted twice.
+    """
 
     name: str
     count: int
     total_s: float
     max_s: float
+    self_s: float
 
     @property
     def mean_s(self) -> float:
         return self.total_s / self.count if self.count else 0.0
 
 
+def _self_times(records: Sequence[SpanRecord]) -> dict[str, float]:
+    """Exclusive time per span id: its duration minus its direct children's.
+
+    Floored at zero: children that ran concurrently (worker threads) can
+    outlast their parent in sum.
+    """
+    child_s: dict[str | None, float] = {}
+    for record in records:
+        child_s[record.parent_id] = child_s.get(record.parent_id, 0.0) + record.duration_s
+    return {
+        record.span_id: max(0.0, record.duration_s - child_s.get(record.span_id, 0.0))
+        for record in records
+    }
+
+
+def _stage(name: str, spans: Sequence[SpanRecord], self_times: Mapping[str, float]) -> StageStat:
+    return StageStat(
+        name=name,
+        count=len(spans),
+        total_s=sum(span.duration_s for span in spans),
+        max_s=max(span.duration_s for span in spans),
+        self_s=sum(self_times[span.span_id] for span in spans),
+    )
+
+
 def aggregate_stages(records: Sequence[SpanRecord]) -> list[StageStat]:
     """Per-name timing totals, sorted by total time (descending)."""
-    counts: dict[str, int] = {}
-    totals: dict[str, float] = {}
-    maxima: dict[str, float] = {}
+    self_times = _self_times(records)
+    by_name: dict[str, list[SpanRecord]] = {}
     for record in records:
-        counts[record.name] = counts.get(record.name, 0) + 1
-        totals[record.name] = totals.get(record.name, 0.0) + record.duration_s
-        maxima[record.name] = max(maxima.get(record.name, 0.0), record.duration_s)
-    stats = [
-        StageStat(name=name, count=counts[name], total_s=totals[name], max_s=maxima[name])
-        for name in counts
-    ]
+        by_name.setdefault(record.name, []).append(record)
+    stats = [_stage(name, spans, self_times) for name, spans in by_name.items()]
     return sorted(stats, key=lambda stat: (-stat.total_s, stat.name))
 
 
@@ -64,6 +90,7 @@ def aggregate_tree(records: Sequence[SpanRecord]) -> list[tuple[int, StageStat]]
     still summarises).
     """
     known = {record.span_id for record in records}
+    self_times = _self_times(records)
     children: dict[str | None, list[SpanRecord]] = {}
     for record in records:
         parent = record.parent_id if record.parent_id in known else None
@@ -82,15 +109,7 @@ def aggregate_tree(records: Sequence[SpanRecord]) -> list[tuple[int, StageStat]]
                 group[record.name].append(record)
         for name in order:
             spans = group[name]
-            rows.append((
-                depth,
-                StageStat(
-                    name=name,
-                    count=len(spans),
-                    total_s=sum(span.duration_s for span in spans),
-                    max_s=max(span.duration_s for span in spans),
-                ),
-            ))
+            rows.append((depth, _stage(name, spans, self_times)))
             walk([span.span_id for span in spans], depth + 1)
 
     walk([None], 0)
@@ -112,7 +131,13 @@ def _format_attributes(attributes: Mapping[str, object]) -> str:
 def render_trace_summary(
     records: Sequence[SpanRecord], slowest: int = 5, slowest_name: str = "trial"
 ) -> str:
-    """The full ``repro trace`` report: tree, stage table, slowest trials."""
+    """The full ``repro trace`` report: tree, stage table, slowest trials.
+
+    The stage table ranks stages by self time; "Share" is that self time as
+    a fraction of the trace's wall time, so nested stages add up instead of
+    double-counting (the shares sum to at most 100% unless spans ran in
+    parallel).
+    """
     if not records:
         return "empty trace (0 spans)"
     stages = aggregate_stages(records)
@@ -132,18 +157,17 @@ def render_trace_summary(
         tree_rows, title="Span tree (same-named siblings folded)",
     ))
 
-    grand_total = sum(stat.total_s for stat in stages)
     sections.append(format_table(
-        ["Stage", "Count", "Total (s)", "Mean (ms)", "Share"],
+        ["Stage", "Count", "Total (s)", "Self (s)", "Mean (ms)", "Share"],
         [
             (
-                stat.name, stat.count, f"{stat.total_s:.4f}",
+                stat.name, stat.count, f"{stat.total_s:.4f}", f"{stat.self_s:.4f}",
                 f"{stat.mean_s * 1e3:.2f}",
-                f"{stat.total_s / grand_total:.0%}" if grand_total > 0 else "-",
+                f"{stat.self_s / wall_s:.0%}" if wall_s > 0 else "-",
             )
-            for stat in stages
+            for stat in sorted(stages, key=lambda stat: (-stat.self_s, stat.name))
         ],
-        title="Time per stage (all spans of a name)",
+        title="Time per stage (all spans of a name; Share = self time / wall time)",
     ))
 
     slow = slowest_spans(records, name=slowest_name, top=slowest)

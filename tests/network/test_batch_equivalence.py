@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.modem.energy_budget import ModemEnergyBudget
-from repro.network.batch import generate_report_schedule, simulate_network_trials
+from repro.network.batch import (
+    ScheduleStream,
+    generate_report_schedule,
+    simulate_network_trials,
+)
 from repro.network.lifetime import lifetime_by_platform
 from repro.network.mac import CsmaMac, SlottedAloha, TDMASchedule
 from repro.network.routing import TtlFlooding
@@ -185,7 +190,7 @@ class TestSeedLockedEquivalence:
 
 
 class TestContentionEquivalence:
-    """The general (contention / flooding / mobility) batch path must match
+    """The batch engine under contention, flooding and mobility must match
     the event loop bit for bit, including the per-packet collision draws and
     the drop counters — the counter-based RNG makes the draws a pure function
     of the event index, so both engines observe identical outcomes."""
@@ -264,8 +269,8 @@ class TestContentionEquivalence:
         assert_identical(reference, batched)
 
     def test_trials_helper_with_contention(self):
-        """simulate_network_trials falls back to per-trial batched engines for
-        the general path and still matches the event loop seed for seed."""
+        """simulate_network_trials runs one batched engine per seed under
+        contention and flooding and still matches the event loop seed for seed."""
         deployment = grid_deployment(3, 3, spacing_m=200.0)
         budget = ModemEnergyBudget(
             transmit_power_w=2.0,
@@ -306,6 +311,31 @@ class TestScheduleGeneration:
         assert (sources_a == sources_b).all()
         assert (times_a[:-1] <= times_a[1:]).all()
         assert times_a[-1] <= 3_600.0
+
+    @pytest.mark.parametrize("max_events", [10_000, 53])
+    def test_jittered_stream_is_chunk_size_invariant(self, max_events):
+        """Each chunk draws its jitter in one block; the schedule must not
+        depend on how the stream is drained, with or without an event cap."""
+        traffic = PeriodicTraffic(report_interval_s=60.0, packet_symbols=16, jitter_fraction=0.1)
+
+        def drain(size):
+            stream = ScheduleStream(traffic, [1, 2, 3, 4, 5], as_rng(11), 3_600.0, max_events)
+            times, sources = [], []
+            while True:
+                chunk_times, chunk_sources = (
+                    stream.next_chunk() if size is None else stream.next_chunk(size)
+                )
+                if len(chunk_times) == 0:
+                    return np.concatenate(times), np.concatenate(sources)
+                times.append(chunk_times)
+                sources.append(chunk_sources)
+
+        ref_times, ref_sources = drain(None)
+        assert 0 < len(ref_times) <= max_events
+        for size in (1, 7):
+            times, sources = drain(size)
+            assert times.tolist() == ref_times.tolist()
+            assert sources.tolist() == ref_sources.tolist()
 
     def test_periodic_schedule_is_staggered_rounds(self):
         traffic = PeriodicTraffic(report_interval_s=100.0, packet_symbols=16, jitter_fraction=0.0)

@@ -122,7 +122,9 @@ class TestNetworkEngineSpans:
         names = _names(tracer)
         assert "engine.network.trials" in names
         trials_span = next(r for r in tracer.records if r.name == "engine.network.trials")
-        assert trials_span.attributes["mode"] == "cross-trial"
+        runs = [r for r in tracer.records if r.name == "engine.network.run"]
+        assert len(runs) == 2  # one per seed
+        assert all(run.parent_id == trials_span.span_id for run in runs)
         assert registry().counter("engine.network.events").value > events_before
 
 

@@ -35,6 +35,12 @@ class TestAggregateStages:
         assert stats["trial"].mean_s == 5.0
         assert [s.name for s in aggregate_stages(_sample_trace())][0] in ("sweep", "trial")
 
+    def test_self_time_excludes_direct_children(self):
+        stats = {s.name: s for s in aggregate_stages(_sample_trace())}
+        assert stats["sweep"].self_s == 0.0  # fully covered by its trials
+        assert stats["trial"].self_s == 4.0  # (4 - 1) + (6 - 5)
+        assert stats["engine.step"].self_s == 6.0
+
 
 class TestAggregateTree:
     def test_same_named_siblings_fold(self):
@@ -66,6 +72,22 @@ class TestRender:
         assert "Time per stage" in report
         assert "Slowest 'trial' spans" in report
         assert "trial_index=1" in report
+
+    def test_nested_stage_shares_do_not_double_count(self):
+        # a parent covering the whole trace with a child covering 60% of it:
+        # shares are self time over wall time, so they sum to 100%, not 160%
+        report = render_trace_summary([
+            _record("parent", "1.0", None, 0.0, 10.0),
+            _record("child", "1.1", "1.0", 2.0, 8.0),
+        ])
+        table = report.split("Time per stage")[1].split("\n\n")[0]
+        shares = {}
+        for line in table.splitlines():
+            cells = [cell.strip() for cell in line.split("|")]
+            if cells[0] in ("parent", "child"):
+                shares[cells[0]] = int(cells[-1].rstrip("%"))
+        assert shares == {"child": 60, "parent": 40}
+        assert sum(shares.values()) <= 100
 
     def test_empty_trace(self):
         assert render_trace_summary([]) == "empty trace (0 spans)"
